@@ -1,7 +1,7 @@
 //! Multilevel `k`-way partitioning by recursive bisection (METIS-style).
 
-use hgp_graph::partition::{multilevel_bisection, BisectOpts};
-use hgp_graph::Graph;
+use hgp_graph::partition::{multilevel_bisection_with, BisectOpts, BisectScratch};
+use hgp_graph::{Graph, SubgraphScratch};
 use rand::Rng;
 
 /// Options for [`kway_partition`].
@@ -9,6 +9,16 @@ use rand::Rng;
 pub struct KwayOpts {
     /// Per-bisection options (FM passes, balance slack, …).
     pub bisect: BisectOpts,
+}
+
+/// Buffers shared by every bisection of one partitioning call.
+#[derive(Default)]
+struct KwayScratch {
+    members: Vec<u32>,
+    sub: SubgraphScratch,
+    sub_w: Vec<f64>,
+    bisect: BisectScratch,
+    side: Vec<bool>,
 }
 
 /// Splits `g` into `k` parts of (near-)equal total node weight by recursive
@@ -28,7 +38,8 @@ pub fn kway_partition<R: Rng + ?Sized>(
     assert_eq!(node_w.len(), g.num_nodes());
     let mut part = vec![0u32; g.num_nodes()];
     let all: Vec<u32> = (0..g.num_nodes() as u32).collect();
-    split(g, node_w, &all, k, 0, opts, rng, &mut part);
+    let mut s = KwayScratch::default();
+    split(g, node_w, &all, k, 0, opts, rng, &mut part, &mut s);
     part
 }
 
@@ -44,14 +55,31 @@ pub fn split_into_groups<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<Vec<u32>> {
     assert!(parts >= 1);
+    let mut out = Vec::with_capacity(parts);
+    let mut s = KwayScratch::default();
+    split_groups(g, node_w, tasks, parts, opts, rng, &mut out, &mut s);
+    out
+}
+
+#[allow(clippy::too_many_arguments)]
+fn split_groups<R: Rng + ?Sized>(
+    g: &Graph,
+    node_w: &[f64],
+    tasks: &[u32],
+    parts: usize,
+    opts: &KwayOpts,
+    rng: &mut R,
+    out: &mut Vec<Vec<u32>>,
+    s: &mut KwayScratch,
+) {
     if parts == 1 {
-        return vec![tasks.to_vec()];
+        out.push(tasks.to_vec());
+        return;
     }
     let k0 = parts.div_ceil(2);
-    let (a, b) = bisect_tasks(g, node_w, tasks, k0 as f64 / parts as f64, opts, rng);
-    let mut out = split_into_groups(g, node_w, &a, k0, opts, rng);
-    out.extend(split_into_groups(g, node_w, &b, parts - k0, opts, rng));
-    out
+    let (a, b) = bisect_tasks(g, node_w, tasks, k0 as f64 / parts as f64, opts, rng, s);
+    split_groups(g, node_w, &a, k0, opts, rng, out, s);
+    split_groups(g, node_w, &b, parts - k0, opts, rng, out, s);
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -64,6 +92,7 @@ fn split<R: Rng + ?Sized>(
     opts: &KwayOpts,
     rng: &mut R,
     part: &mut [u32],
+    s: &mut KwayScratch,
 ) {
     if k == 1 {
         for &t in tasks {
@@ -72,12 +101,14 @@ fn split<R: Rng + ?Sized>(
         return;
     }
     let k0 = k.div_ceil(2);
-    let (a, b) = bisect_tasks(g, node_w, tasks, k0 as f64 / k as f64, opts, rng);
-    split(g, node_w, &a, k0, base, opts, rng, part);
-    split(g, node_w, &b, k - k0, base + k0 as u32, opts, rng, part);
+    let (a, b) = bisect_tasks(g, node_w, tasks, k0 as f64 / k as f64, opts, rng, s);
+    split(g, node_w, &a, k0, base, opts, rng, part, s);
+    split(g, node_w, &b, k - k0, base + k0 as u32, opts, rng, part, s);
 }
 
-/// Bisects a subset of tasks with target fraction `frac` on side 0.
+/// Bisects a subset of tasks with target fraction `frac` on side 0. The
+/// subgraph is the one induced by the task *set*, so both halves come
+/// back in ascending id order whatever order `tasks` was given in.
 fn bisect_tasks<R: Rng + ?Sized>(
     g: &Graph,
     node_w: &[f64],
@@ -85,23 +116,33 @@ fn bisect_tasks<R: Rng + ?Sized>(
     frac: f64,
     opts: &KwayOpts,
     rng: &mut R,
+    s: &mut KwayScratch,
 ) -> (Vec<u32>, Vec<u32>) {
     if tasks.len() <= 1 {
         return (tasks.to_vec(), Vec::new());
     }
-    let mut keep = vec![false; g.num_nodes()];
-    for &t in tasks {
-        keep[t as usize] = true;
-    }
-    let (sub, map) = g.induced_subgraph(&keep);
-    let sub_w: Vec<f64> = map.iter().map(|v| node_w[v.index()]).collect();
+    let KwayScratch {
+        members,
+        sub,
+        sub_w,
+        bisect,
+        side,
+    } = s;
+    members.clear();
+    members.extend_from_slice(tasks);
+    members.sort_unstable();
+    members.dedup();
+    g.induced_subgraph_into(members, sub);
+    let map = sub.map();
+    sub_w.clear();
+    sub_w.extend(map.iter().map(|v| node_w[v.index()]));
     let mut bopts = opts.bisect;
     bopts.target0_frac = frac;
-    let bis = multilevel_bisection(&sub, &sub_w, &bopts, rng);
+    multilevel_bisection_with(sub.graph(), sub_w, &bopts, rng, bisect, side);
     let mut a = Vec::new();
     let mut b = Vec::new();
-    for (i, &s) in bis.side.iter().enumerate() {
-        if s {
+    for (i, &on1) in side.iter().enumerate() {
+        if on1 {
             b.push(map[i].0);
         } else {
             a.push(map[i].0);
@@ -123,8 +164,125 @@ fn bisect_tasks<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use hgp_graph::generators;
+    use hgp_graph::partition::multilevel_bisection;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Allocating bisection the scratch path must match bit for bit: a
+    /// fresh membership mask, subgraph and multilevel bisection per call.
+    fn bisect_tasks_reference<R: Rng + ?Sized>(
+        g: &Graph,
+        node_w: &[f64],
+        tasks: &[u32],
+        frac: f64,
+        opts: &KwayOpts,
+        rng: &mut R,
+    ) -> (Vec<u32>, Vec<u32>) {
+        if tasks.len() <= 1 {
+            return (tasks.to_vec(), Vec::new());
+        }
+        let mut keep = vec![false; g.num_nodes()];
+        for &t in tasks {
+            keep[t as usize] = true;
+        }
+        let (sub, map) = g.induced_subgraph(&keep);
+        let sub_w: Vec<f64> = map.iter().map(|v| node_w[v.index()]).collect();
+        let mut bopts = opts.bisect;
+        bopts.target0_frac = frac;
+        let bis = multilevel_bisection(&sub, &sub_w, &bopts, rng);
+        let mut a = Vec::new();
+        let mut b = Vec::new();
+        for (i, &side) in bis.side.iter().enumerate() {
+            if side {
+                b.push(map[i].0);
+            } else {
+                a.push(map[i].0);
+            }
+        }
+        if a.is_empty() || b.is_empty() {
+            let mut sorted = tasks.to_vec();
+            sorted.sort_unstable();
+            let mid = ((sorted.len() as f64) * frac).round().max(1.0) as usize;
+            let mid = mid.min(sorted.len() - 1);
+            let b2 = sorted.split_off(mid);
+            return (sorted, b2);
+        }
+        (a, b)
+    }
+
+    fn groups_reference<R: Rng + ?Sized>(
+        g: &Graph,
+        node_w: &[f64],
+        tasks: &[u32],
+        parts: usize,
+        opts: &KwayOpts,
+        rng: &mut R,
+    ) -> Vec<Vec<u32>> {
+        if parts == 1 {
+            return vec![tasks.to_vec()];
+        }
+        let k0 = parts.div_ceil(2);
+        let (a, b) = bisect_tasks_reference(g, node_w, tasks, k0 as f64 / parts as f64, opts, rng);
+        let mut out = groups_reference(g, node_w, &a, k0, opts, rng);
+        out.extend(groups_reference(g, node_w, &b, parts - k0, opts, rng));
+        out
+    }
+
+    #[test]
+    fn scratch_kway_is_bit_identical_to_allocating_path() {
+        let opt_sets = [
+            KwayOpts::default(),
+            KwayOpts {
+                bisect: BisectOpts {
+                    coarsen_until: 8,
+                    tries: 9,
+                    ..Default::default()
+                },
+            },
+        ];
+        for seed in 0..4u64 {
+            let mut gen = StdRng::seed_from_u64(seed);
+            let graphs = [
+                generators::grid2d(&mut gen, 11, 9, 0.5, 2.0),
+                generators::barabasi_albert(&mut gen, 80, 2, 0.5, 2.0),
+                Graph::from_edges(3, &[(0, 1, 1.0)]),
+            ];
+            for g in &graphs {
+                let n = g.num_nodes();
+                let w: Vec<f64> = (0..n).map(|_| gen.gen_range(0.5..1.5)).collect();
+                // a shuffled subset: halves come back ascending either way
+                let mut tasks: Vec<u32> = (0..n as u32).filter(|v| v % 5 != 1).collect();
+                for i in (1..tasks.len()).rev() {
+                    tasks.swap(i, gen.gen_range(0..=i));
+                }
+                for (oi, opts) in opt_sets.iter().enumerate() {
+                    for k in [1usize, 2, 3, 5, 8] {
+                        let ctx = format!("seed={seed} n={n} opts#{oi} k={k}");
+                        let mut r1 = StdRng::seed_from_u64(77 + seed);
+                        let mut r2 = r1.clone();
+                        let all: Vec<u32> = (0..n as u32).collect();
+                        let want: Vec<u32> = {
+                            let mut part = vec![0u32; n];
+                            let groups = groups_reference(g, &w, &all, k, opts, &mut r1);
+                            for (i, grp) in groups.iter().enumerate() {
+                                for &t in grp {
+                                    part[t as usize] = i as u32;
+                                }
+                            }
+                            part
+                        };
+                        let got = kway_partition(g, &w, k, opts, &mut r2);
+                        assert_eq!(got, want, "kway {ctx}");
+                        assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "rng {ctx}");
+                        let want = groups_reference(g, &w, &tasks, k, opts, &mut r1);
+                        let got = split_into_groups(g, &w, &tasks, k, opts, &mut r2);
+                        assert_eq!(got, want, "groups {ctx}");
+                        assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "rng {ctx}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn partitions_cover_all_parts() {

@@ -63,6 +63,11 @@ pub fn marginal(g: &Graph, h: &Hierarchy, leaf_of: &[u32], v: usize, leaf: usize
 /// feasible boundary move exists at all. A leaf whose load is already
 /// non-finite (the caller's way of fencing off drained leaves) never
 /// passes the capacity check, so no move lands there.
+///
+/// `cands` is the pass's reusable candidate buffer. An interior node (no
+/// neighbour on another leaf — most nodes of a refined mesh) returns
+/// before its base marginal is computed.
+#[allow(clippy::too_many_arguments)]
 fn best_move(
     g: &Graph,
     node_w: &[f64],
@@ -71,21 +76,25 @@ fn best_move(
     loads: &[f64],
     cap: f64,
     v: usize,
+    cands: &mut Vec<u32>,
 ) -> (f64, u32) {
     let from = leaf_of[v] as usize;
-    let w_v = node_w[v];
-    let base = marginal(g, h, leaf_of, v, from);
-    let mut best = (f64::NEG_INFINITY, u32::MAX);
     // candidate targets: leaves hosting at least one neighbour (boundary
     // moves — a leaf with no neighbours can only raise every edge's LCA)
-    let mut cands: Vec<u32> = Vec::with_capacity(8);
+    cands.clear();
     for (u, _, _) in g.neighbors(NodeId(v as u32)) {
         let t = leaf_of[u.index()];
         if t as usize != from && !cands.contains(&t) {
             cands.push(t);
         }
     }
-    for &t in &cands {
+    let mut best = (f64::NEG_INFINITY, u32::MAX);
+    if cands.is_empty() {
+        return best;
+    }
+    let w_v = node_w[v];
+    let base = marginal(g, h, leaf_of, v, from);
+    for &t in cands.iter() {
         if loads[t as usize] + w_v > cap + 1e-9 {
             continue;
         }
@@ -143,9 +152,10 @@ pub fn hier_fm_pass_bounded(
             moves: 0,
         };
     }
+    let mut cands: Vec<u32> = Vec::new();
     let mut heap = std::collections::BinaryHeap::new();
     for v in 0..n {
-        let (gain, target) = best_move(g, node_w, h, leaf_of, loads, cap, v);
+        let (gain, target) = best_move(g, node_w, h, leaf_of, loads, cap, v, &mut cands);
         if target != u32::MAX {
             heap.push(Cand(gain, v as u32));
         }
@@ -168,7 +178,7 @@ pub fn hier_fm_pass_bounded(
         }
         // loads and neighbour placements may have shifted since this entry
         // was pushed: re-score, and re-queue instead of applying stale gains
-        let (gain, target) = best_move(g, node_w, h, leaf_of, loads, cap, v);
+        let (gain, target) = best_move(g, node_w, h, leaf_of, loads, cap, v, &mut cands);
         if target == u32::MAX {
             continue;
         }
@@ -191,7 +201,7 @@ pub fn hier_fm_pass_bounded(
         }
         for (u, _, _) in g.neighbors(NodeId(vi)) {
             if !moved[u.index()] {
-                let (g2, t2) = best_move(g, node_w, h, leaf_of, loads, cap, u.index());
+                let (g2, t2) = best_move(g, node_w, h, leaf_of, loads, cap, u.index(), &mut cands);
                 if t2 != u32::MAX {
                     heap.push(Cand(g2, u.0));
                 }
@@ -216,6 +226,193 @@ pub fn hier_fm_pass_bounded(
 mod tests {
     use super::*;
     use hgp_hierarchy::presets;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The allocating scorer [`best_move`] must reproduce bit for bit: a
+    /// fresh candidate `Vec` per call and the base marginal computed
+    /// before candidates are known.
+    fn best_move_reference(
+        g: &Graph,
+        node_w: &[f64],
+        h: &Hierarchy,
+        leaf_of: &[u32],
+        loads: &[f64],
+        cap: f64,
+        v: usize,
+    ) -> (f64, u32) {
+        let from = leaf_of[v] as usize;
+        let w_v = node_w[v];
+        let base = marginal(g, h, leaf_of, v, from);
+        let mut best = (f64::NEG_INFINITY, u32::MAX);
+        let mut cands: Vec<u32> = Vec::with_capacity(8);
+        for (u, _, _) in g.neighbors(NodeId(v as u32)) {
+            let t = leaf_of[u.index()];
+            if t as usize != from && !cands.contains(&t) {
+                cands.push(t);
+            }
+        }
+        for &t in &cands {
+            if loads[t as usize] + w_v > cap + 1e-9 {
+                continue;
+            }
+            let gain = base - marginal(g, h, leaf_of, v, t as usize);
+            if gain > best.0 {
+                best = (gain, t);
+            }
+        }
+        best
+    }
+
+    /// [`hier_fm_pass_bounded`] driven by [`best_move_reference`].
+    fn fm_pass_reference(
+        g: &Graph,
+        node_w: &[f64],
+        h: &Hierarchy,
+        leaf_of: &mut [u32],
+        loads: &mut [f64],
+        cap: f64,
+        max_moves: usize,
+    ) -> FmPassOutcome {
+        let n = g.num_nodes();
+        if max_moves == 0 {
+            return FmPassOutcome {
+                gain: 0.0,
+                moves: 0,
+            };
+        }
+        let mut heap = std::collections::BinaryHeap::new();
+        for v in 0..n {
+            let (gain, target) = best_move_reference(g, node_w, h, leaf_of, loads, cap, v);
+            if target != u32::MAX {
+                heap.push(Cand(gain, v as u32));
+            }
+        }
+        let mut moved = vec![false; n];
+        let mut journal: Vec<(u32, u32)> = Vec::new();
+        let mut total = 0.0;
+        let mut best_total = 0.0;
+        let mut best_len = 0usize;
+        let stall_limit = (n / 8).max(64);
+        while let Some(Cand(gn, vi)) = heap.pop() {
+            let v = vi as usize;
+            if moved[v] {
+                continue;
+            }
+            let (gain, target) = best_move_reference(g, node_w, h, leaf_of, loads, cap, v);
+            if target == u32::MAX {
+                continue;
+            }
+            if (gn - gain).abs() > 1e-12 {
+                heap.push(Cand(gain, vi));
+                continue;
+            }
+            let from = leaf_of[v] as usize;
+            loads[from] -= node_w[v];
+            loads[target as usize] += node_w[v];
+            leaf_of[v] = target;
+            moved[v] = true;
+            journal.push((vi, from as u32));
+            total += gain;
+            if journal.len() <= max_moves && total > best_total + 1e-12 {
+                best_total = total;
+                best_len = journal.len();
+            } else if journal.len() - best_len > stall_limit {
+                break;
+            }
+            for (u, _, _) in g.neighbors(NodeId(vi)) {
+                if !moved[u.index()] {
+                    let (g2, t2) =
+                        best_move_reference(g, node_w, h, leaf_of, loads, cap, u.index());
+                    if t2 != u32::MAX {
+                        heap.push(Cand(g2, u.0));
+                    }
+                }
+            }
+        }
+        for &(vi, from) in journal[best_len..].iter().rev() {
+            let v = vi as usize;
+            let cur = leaf_of[v] as usize;
+            loads[cur] -= node_w[v];
+            loads[from as usize] += node_w[v];
+            leaf_of[v] = from;
+        }
+        FmPassOutcome {
+            gain: best_total,
+            moves: best_len,
+        }
+    }
+
+    /// Machines of height 1–3, including non-power-of-two degrees, a
+    /// degree-1 level and more leaves than any inline candidate buffer.
+    fn machine(shape: usize) -> Hierarchy {
+        match shape {
+            0 => Hierarchy::new(vec![5], vec![1.0, 0.0]),
+            1 => Hierarchy::new(vec![12], vec![2.5, 0.5]),
+            2 => Hierarchy::new(vec![2, 3], vec![4.0, 1.0, 0.0]),
+            3 => Hierarchy::new(vec![4, 4], vec![6.0, 1.5, 0.25]),
+            4 => Hierarchy::new(vec![3, 1, 2], vec![9.0, 3.0, 3.0, 0.0]),
+            _ => Hierarchy::new(vec![2, 2, 3], vec![10.0, 4.0, 1.0, 0.0]),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn buffered_fm_pass_is_bit_identical_to_reference(
+            seed in 0u64..1_000_000,
+            n in 2usize..60,
+            shape in 0usize..6,
+            hub in any::<bool>(),
+            (loose, fenced) in (any::<bool>(), any::<bool>()),
+            budget in 0usize..12,
+        ) {
+            let h = machine(shape);
+            let k = h.num_leaves();
+            let mut rng = StdRng::seed_from_u64(seed);
+            // sparse random graph; the optional hub (node 0) touches every
+            // node, so its neighbours span every leaf
+            let mut edges = Vec::new();
+            for u in 0..n as u32 {
+                for v in (u + 1)..n as u32 {
+                    if (hub && u == 0) || rng.gen_bool((3.0 / n as f64).min(1.0)) {
+                        edges.push((u, v, rng.gen_range(0.25..4.0)));
+                    }
+                }
+            }
+            let g = Graph::from_edges(n, &edges);
+            let fill = 0.8 * k as f64 / n as f64;
+            let w: Vec<f64> = (0..n).map(|_| rng.gen_range(0.1 * fill..1.5 * fill)).collect();
+            let start: Vec<u32> = (0..n).map(|_| rng.gen_range(0..k as u32)).collect();
+            let mut loads = vec![0.0; k];
+            for (v, &l) in start.iter().enumerate() {
+                loads[l as usize] += w[v];
+            }
+            if fenced {
+                // a drained leaf: nothing may land on it
+                loads[rng.gen_range(0..k)] = f64::INFINITY;
+            }
+            let cap = if loose { 1.25 } else { 1.0 };
+            let max_moves = if budget == 11 { usize::MAX } else { budget };
+            let ctx = format!("seed={seed} n={n} shape={shape} hub={hub} loose={loose} fenced={fenced} budget={budget}");
+            let (mut want_leaf, mut want_loads) = (start.clone(), loads.clone());
+            let (mut got_leaf, mut got_loads) = (start.clone(), loads.clone());
+            // two consecutive passes, so the second starts from a refined
+            // placement with many interior nodes
+            for pass in 0..2 {
+                let want = fm_pass_reference(&g, &w, &h, &mut want_leaf, &mut want_loads, cap, max_moves);
+                let got = hier_fm_pass_bounded(&g, &w, &h, &mut got_leaf, &mut got_loads, cap, max_moves);
+                prop_assert_eq!(&got_leaf, &want_leaf, "{ctx} pass={pass}");
+                prop_assert_eq!(got.gain.to_bits(), want.gain.to_bits(), "{ctx} pass={pass}");
+                prop_assert_eq!(got.moves, want.moves, "{ctx} pass={pass}");
+                for (a, b) in got_loads.iter().zip(&want_loads) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "{ctx} pass={pass}");
+                }
+            }
+        }
+    }
 
     fn setup() -> (Graph, Vec<f64>, Hierarchy) {
         // two heavy pairs placed across sockets, light coupling between

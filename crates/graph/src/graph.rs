@@ -660,7 +660,8 @@ mod tests {
         // several graphs of different sizes through one builder + one out
         // graph: reset/build_into must be bit-identical to a fresh build(),
         // including the loop-drop + parallel-merge normalisation
-        let cases: Vec<(usize, Vec<(u32, u32, f64)>)> = vec![
+        type Edges = Vec<(u32, u32, f64)>;
+        let cases: Vec<(usize, Edges)> = vec![
             (3, vec![(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)]),
             (4, vec![(2, 1, 0.5), (1, 2, 0.25), (3, 3, 9.0), (0, 3, 1.5)]),
             (1, vec![]),

@@ -665,6 +665,7 @@ pub struct BisectScratch {
     order: Vec<usize>,
     mate: Vec<u32>,
     builder: GraphBuilder,
+    seeds: Vec<u32>,
     cand_side: Vec<bool>,
     best_side: Vec<bool>,
 }
@@ -934,6 +935,12 @@ fn coarsen_into<R: Rng + ?Sized>(
 
 // Randomised initial bisection into a caller buffer; bit-identical seed
 // draws and candidate selection to `initial_bisection`.
+//
+// Growing and FM are deterministic in the seed node, so a try whose seed
+// repeats an earlier try's rebuilds that try's candidate, and its cut
+// cannot pass the strict `<` that the earlier one already faced. Such a
+// try still draws its seed (the RNG stream is unchanged) but skips the
+// work.
 #[allow(clippy::too_many_arguments)]
 fn initial_bisection_into<R: Rng + ?Sized>(
     g: &Graph,
@@ -945,6 +952,7 @@ fn initial_bisection_into<R: Rng + ?Sized>(
     rng: &mut R,
     fm: &mut FmScratch,
     grow: &mut GrowScratch,
+    seeds: &mut Vec<u32>,
     cand: &mut Vec<bool>,
     best: &mut Vec<bool>,
     out: &mut Vec<bool>,
@@ -957,9 +965,14 @@ fn initial_bisection_into<R: Rng + ?Sized>(
         return;
     }
     let mut best_cut = f64::INFINITY;
+    seeds.clear();
     for t in 0..opts.tries.max(1) {
-        let seed = NodeId(rng.gen_range(0..n as u32));
-        grow_bisection_into(g, node_w, target0, seed, cand, grow);
+        let seed = rng.gen_range(0..n as u32);
+        if seeds.contains(&seed) {
+            continue;
+        }
+        seeds.push(seed);
+        grow_bisection_into(g, node_w, target0, NodeId(seed), cand, grow);
         if !opts.no_refine {
             fm_refine_with(g, node_w, cand, cap0, cap1, opts.fm_passes, fm);
         }
@@ -1013,6 +1026,7 @@ pub fn multilevel_bisection_with<R: Rng + ?Sized>(
         order,
         mate,
         builder,
+        seeds,
         cand_side,
         best_side,
     } = scratch;
@@ -1059,7 +1073,8 @@ pub fn multilevel_bisection_with<R: Rng + ?Sized>(
         let (target0, cap0, cap1) = caps[d];
         if d == 0 {
             initial_bisection_into(
-                g, node_w, target0, cap0, cap1, opts, rng, fm, grow, cand_side, best_side, out_side,
+                g, node_w, target0, cap0, cap1, opts, rng, fm, grow, seeds, cand_side, best_side,
+                out_side,
             );
         } else {
             let LevelScratch {
@@ -1069,7 +1084,8 @@ pub fn multilevel_bisection_with<R: Rng + ?Sized>(
                 ..
             } = &mut levels[d - 1];
             initial_bisection_into(
-                graph, lw, target0, cap0, cap1, opts, rng, fm, grow, cand_side, best_side, side,
+                graph, lw, target0, cap0, cap1, opts, rng, fm, grow, seeds, cand_side, best_side,
+                side,
             );
         }
     }
@@ -1310,6 +1326,22 @@ mod tests {
                 fm_passes: 2,
                 ..Default::default()
             },
+            // tries ∈ {1, 4, 9}: the allocating path runs every try, so
+            // repeated seeds (certain on 2–3 node levels) pin that
+            // skipping them in the scratch path changes nothing
+            BisectOpts {
+                tries: 1,
+                ..Default::default()
+            },
+            BisectOpts {
+                tries: 9,
+                ..Default::default()
+            },
+            BisectOpts {
+                tries: 9,
+                coarsen_until: 3,
+                ..Default::default()
+            },
         ];
         for seed in 0..4u64 {
             let mut gen_rng = StdRng::seed_from_u64(seed);
@@ -1317,6 +1349,8 @@ mod tests {
                 generators::grid2d(&mut gen_rng, 9, 9, 0.5, 2.0),
                 generators::gnp_connected(&mut gen_rng, 120, 0.05, 0.5, 3.0),
                 generators::barabasi_albert(&mut gen_rng, 90, 2, 0.5, 2.0),
+                Graph::from_edges(3, &[(0, 1, 1.5), (1, 2, 0.5)]),
+                Graph::from_edges(2, &[(0, 1, 2.0)]),
                 Graph::from_edges(1, &[]),
                 Graph::from_edges(0, &[]),
             ];

@@ -9,8 +9,10 @@
 //! level `j` costs `cm(j) · w(e)` (Equation 1 of the paper).
 //!
 //! Because `H` is regular, leaves are identified by dense indices
-//! `0..k` and ancestors/LCAs are pure arithmetic — no tree structure is
-//! materialised.
+//! `0..k` and ancestors are pure arithmetic — no tree structure is
+//! materialised. The one derived table is each leaf's ancestor index per
+//! level, which lets [`Hierarchy::lca_level`] (the inner loop of every
+//! Equation-1 move score) compare ancestors without integer division.
 
 #![warn(missing_docs)]
 
@@ -26,12 +28,36 @@ pub use parse::{parse_hierarchy, ParseErrorKind, ParseHierarchyError};
 ///   `degrees[j]` children);
 /// * `cost_multipliers.len() == h + 1`, entries finite, non-negative and
 ///   non-increasing.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Equality compares the shape (`degrees`) and the multipliers (`cm`);
+/// everything else is derived from those two.
+#[derive(Clone)]
 pub struct Hierarchy {
     degrees: Vec<usize>,
     cm: Vec<f64>,
     /// cp[j] = number of leaves under a Level-j node; cp[h] = 1.
     cp: Vec<usize>,
+    /// anc[leaf * (h + 1) + j] = index of the Level-j ancestor of `leaf`
+    /// (`leaf / cp[j]`): (h + 1) · k entries, leaf-major so one leaf's
+    /// ancestors share a cache line.
+    anc: Vec<u32>,
+}
+
+impl PartialEq for Hierarchy {
+    fn eq(&self, other: &Self) -> bool {
+        self.degrees == other.degrees && self.cm == other.cm
+    }
+}
+
+impl std::fmt::Debug for Hierarchy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // the ancestor table is derived and up to (h + 1) · k entries long
+        f.debug_struct("Hierarchy")
+            .field("degrees", &self.degrees)
+            .field("cm", &self.cm)
+            .field("cp", &self.cp)
+            .finish()
+    }
 }
 
 impl Hierarchy {
@@ -67,10 +93,20 @@ impl Hierarchy {
                 .checked_mul(degrees[j])
                 .expect("leaf count overflows usize");
         }
+        let k = cp[0];
+        assert!(
+            u32::try_from(k).is_ok(),
+            "leaf count must fit in u32 (leaves are u32 ids)"
+        );
+        let mut anc = Vec::with_capacity(k * (h + 1));
+        for leaf in 0..k {
+            anc.extend(cp.iter().map(|&c| (leaf / c) as u32));
+        }
         Self {
             degrees,
             cm: cost_multipliers,
             cp,
+            anc,
         }
     }
 
@@ -122,12 +158,21 @@ impl Hierarchy {
 
     /// Level of the lowest common ancestor of two leaves (two equal leaves
     /// have LCA level `h`).
+    #[inline]
     pub fn lca_level(&self, a: usize, b: usize) -> usize {
         debug_assert!(a < self.num_leaves() && b < self.num_leaves());
+        let h = self.height();
+        if a == b {
+            return h;
+        }
         // Highest (deepest) level at which the ancestors still coincide.
-        // Walk from the leaves upward; O(h) with h tiny in practice.
-        let mut level = self.height();
-        while level > 0 && a / self.cp[level] != b / self.cp[level] {
+        // Distinct leaves differ at level h, so walk upward from h - 1;
+        // O(h) table reads with h tiny in practice.
+        let row = h + 1;
+        let anc_a = &self.anc[a * row..a * row + h];
+        let anc_b = &self.anc[b * row..b * row + h];
+        let mut level = h - 1;
+        while level > 0 && anc_a[level] != anc_b[level] {
             level -= 1;
         }
         level
@@ -160,6 +205,7 @@ impl Hierarchy {
                 degrees: self.degrees.clone(),
                 cm,
                 cp: self.cp.clone(),
+                anc: self.anc.clone(),
             },
             shift,
         )
@@ -252,6 +298,53 @@ mod tests {
         assert_eq!(h.lca_level(0, 4), 0);
         assert_eq!(h.lca_level(6, 7), 2);
         assert_eq!(h.lca_level(5, 6), 1);
+    }
+
+    /// The arithmetic definition the ancestor table replaces.
+    fn lca_by_division(h: &Hierarchy, a: usize, b: usize) -> usize {
+        let mut level = h.height();
+        while level > 0 && a / h.capacity(level) != b / h.capacity(level) {
+            level -= 1;
+        }
+        level
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn table_lca_matches_division(
+            degrees in proptest::collection::vec(1usize..5, 1..5),
+            shift in 0.0f64..3.0,
+        ) {
+            let height = degrees.len();
+            let cm: Vec<f64> = (0..=height).map(|j| (height - j) as f64 + shift).collect();
+            let h = Hierarchy::new(degrees.clone(), cm);
+            let (hn, _) = h.normalized();
+            let k = h.num_leaves();
+            for a in 0..k {
+                for b in 0..k {
+                    let want = lca_by_division(&h, a, b);
+                    proptest::prop_assert_eq!(h.lca_level(a, b), want, "{degrees:?} ({a},{b})");
+                    proptest::prop_assert_eq!(hn.lca_level(a, b), want, "normalized {degrees:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn normalized_keeps_the_table_and_equality_ignores_it() {
+        let h = Hierarchy::new(vec![3, 1, 2], vec![5.0, 3.0, 3.0, 2.0]);
+        let (hn, _) = h.normalized();
+        assert_eq!(hn.anc, h.anc, "normalisation changes only cm");
+        assert_eq!(hn, Hierarchy::new(vec![3, 1, 2], vec![3.0, 1.0, 1.0, 0.0]));
+        assert_ne!(hn, h, "different multipliers");
+        assert_ne!(h, Hierarchy::new(vec![3, 2, 1], vec![5.0, 3.0, 3.0, 2.0]));
+        // equality follows degrees and cm alone, never the derived table
+        let mut stripped = h.clone();
+        stripped.anc.clear();
+        assert_eq!(stripped, h);
+        assert!(!format!("{h:?}").contains("anc"), "Debug skips the table");
     }
 
     #[test]

@@ -62,10 +62,12 @@ const ML_SEED_SALT: u64 = 0x4D4C_5643_5943_4C45; // "MLVCYCLE"
 /// one per ladder rung fit easily).
 const ML_SPAN_CAPACITY: usize = 256;
 
-/// Independent k-way seed placements tried on the coarsest instance. The
-/// coarse graph is tiny, so each start costs microseconds, and the spread
-/// between starts (±0.5 % final cost on clustered inputs) is exactly the
-/// margin the bench's every-point acceptance bar needs.
+/// Independent k-way seed placements tried on the coarsest instance. On
+/// the ~160-node coarsest graph of a 142×142 mesh on a 4×4 machine, one
+/// start costs about 6 ms on a 2-CPU Xeon host (k-way ≈2.5 ms, swap
+/// refine ≈3.6 ms), a third of an op's core stage; the spread between
+/// starts (±0.5 % final cost on clustered inputs) is exactly the margin
+/// the bench's every-point acceptance bar needs.
 const KWAY_SEED_STARTS: usize = 4;
 
 /// Label-propagation sweeps per ladder rung on degree-skewed graphs.
@@ -233,7 +235,7 @@ pub fn solve_multilevel(
         let core = Solve::new(&coarse_inst, h).options(*opts).run()?;
         // Alternative seeds: flat k-way recursive bisection + Equation-1
         // refinement on the coarsest graph, multi-started over a handful of
-        // RNG streams — microseconds each at coarsest size, and the packing
+        // RNG streams (a few ms each, see KWAY_SEED_STARTS), and the packing
         // decisions made here fix the global structure the FM below cannot
         // rearrange. The Räcke-tree core carries a worst-case guarantee but
         // is an approximation, so whichever placement scores best (feasible

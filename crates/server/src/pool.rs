@@ -777,11 +777,9 @@ mod tests {
         assert!(b.contains("cache=miss"), "{b}");
         assert_eq!(cache.near_hits(), 0);
         // with near=1 and a fresh exact key the twin warm-starts the build
-        let near_line = format!(
-            "solve graph=edges:4:0-1:2.0,1-2:0.5,2-3:2.0,0-3:0.5 \
-             machine=2x2:4,1,0 demand=0.4 trees=4 seed=8 near=1"
-        );
-        let c = run(&pool, solve_spec(&near_line), None);
+        let near_line = "solve graph=edges:4:0-1:2.0,1-2:0.5,2-3:2.0,0-3:0.5 \
+             machine=2x2:4,1,0 demand=0.4 trees=4 seed=8 near=1";
+        let c = run(&pool, solve_spec(near_line), None);
         assert!(c.starts_with("ok "), "{c}");
         assert!(c.contains("cache=near"), "{c}");
         assert!(c.contains("mode=full"), "{c}");
@@ -789,7 +787,7 @@ mod tests {
         // warm-built distributions are cache-state-dependent and must not
         // be stored under the exact key: re-running the near request still
         // reports a near hit, not an exact one
-        let d = run(&pool, solve_spec(&near_line), None);
+        let d = run(&pool, solve_spec(near_line), None);
         assert!(d.contains("cache=near"), "{d}");
         assert_eq!(cache.near_hits(), 2);
     }

@@ -300,7 +300,7 @@ mod tests {
             .filter(|a| matches!(a.kind, TrafficKind::Miss | TrafficKind::Coalesce))
         {
             assert!(
-                !warm.iter().any(|w| *w == a.line),
+                !warm.contains(&a.line),
                 "cold request aliases a warm line: {}",
                 a.line
             );
